@@ -13,9 +13,8 @@
 //             process died after its last periodic snapshot.
 //
 // Also reports Merkle-root computations per appended block on the ingest
-// path (the self-produce fast path must compute exactly one root per
-// block), the post-restore first-query hydration costs, and the
-// AuditAll() sweep.
+// path (a locally appended block must compute exactly one root), the
+// post-restore first-query hydration costs, and the AuditAll() sweep.
 //
 // Emits BENCH_recovery.json. Usage: bench_recovery [json [100000]]
 
@@ -95,7 +94,9 @@ int Run(const std::string& json_path, size_t n) {
   store_opts.batch_size = 512;
   prov::ProvenanceStore store(&chain, &clock, store_opts);
 
-  const uint64_t roots_before = ledger::Block::merkle_root_computes();
+  obs::Counter* roots = obs::Registry::Default()->GetCounter(
+      "merkle_root_computes_total", "");
+  const uint64_t roots_before = roots->value();
   double ingest_s = 0, crash_save_s = 0, clean_save_s = 0;
   auto t0 = BenchClock::now();
   for (size_t i = 0; i < n; ++i) {
@@ -125,8 +126,7 @@ int Run(const std::string& json_path, size_t n) {
 
   const uint64_t blocks = chain.height();
   const double roots_per_block =
-      static_cast<double>(ledger::Block::merkle_root_computes() -
-                          roots_before) /
+      static_cast<double>(roots->value() - roots_before) /
       static_cast<double>(blocks);
   const uint64_t tail_blocks = blocks - (crash_snapshot_at + 511) / 512;
   std::printf("  ingest: %.0f rec/s over %llu blocks, %.2f merkle roots/block"

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI-style strict check, five gates in order:
+# CI-style strict check, six gates in order:
 #   1. build-check/    — full build (tests+benches+examples) under
 #      -Wall -Wextra -Werror (PROVLEDGER_WERROR), full ctest suite, then
 #      per-label passes (recovery, replication, encoding, fuzz, audit). The
@@ -15,6 +15,8 @@
 #   5. scripts/run_lint.sh — provlint (repo rules + fixture self-test),
 #      then clang-tidy / gcc strict-warning fallback over build-check's
 #      compile_commands.json.
+#   6. ledgerbench — every BENCHMARK.json workload at seed 1 must pass its
+#      exact output checks with no failed operation.
 #
 # Usage: scripts/check_build.sh [extra cmake args...]
 set -euo pipefail
@@ -126,5 +128,25 @@ build_tree "$ANALYZER_BUILD"
 # then clang-tidy over compile_commands.json when available, else the gcc
 # strict-warning fallback. Either way a finding fails the check.
 "$ROOT/scripts/run_lint.sh" "$BUILD"
+
+# Benchmark gate: each workload's last output line is one JSON object; it
+# must report "correct": true (committed counts, restart heads, query result
+# sizes, convergence, zero audit findings, proof ancestors) and "failed": 0,
+# so a write-path change that breaks those checks fails here.
+WORKLOADS="$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+  "$ROOT/BENCHMARK.json")"
+for workload in $WORKLOADS; do
+  if ! result="$(cd "$ROOT" && python3 ledgerbench/run.py \
+      --workload "$workload" --seed 1 --seconds 20 --trace 0 | tail -n 1)" ||
+     ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+       "$result"; then
+    echo "check_build: ledgerbench $workload failed: ${result:-no result}" >&2
+    exit 1
+  fi
+  echo "check_build: ledgerbench $workload correct, 0 failed"
+done
 
 echo "check_build: OK"

@@ -81,12 +81,15 @@ Status WriteFileAtomic(const std::string& path, const Bytes& data) {
     return s;
   }
   // Make the rename itself durable.
-  int dirfd = ::open(ParentDir(path).c_str(), O_RDONLY);
-  if (dirfd >= 0) {
-    ::fsync(dirfd);
-    ::close(dirfd);
-  }
-  return Status::OK();
+  return SyncDir(ParentDir(path));
+}
+
+Status SyncDir(const std::string& dir) {
+  int fd = ::open(dir.c_str(), O_RDONLY);
+  if (fd < 0) return Errno("open", dir);
+  Status synced = ::fsync(fd) == 0 ? Status::OK() : Errno("fsync", dir);
+  ::close(fd);
+  return synced;
 }
 
 Result<Bytes> ReadFileToBytes(const std::string& path) {

@@ -28,6 +28,10 @@ Result<Bytes> ReadFileToBytes(const std::string& path);
 /// \brief True if a regular file exists at `path`.
 bool FileExists(const std::string& path);
 
+/// \brief fsync directory `dir`, making entries created or renamed in it
+/// durable.
+Status SyncDir(const std::string& dir);
+
 /// \brief Create directory `path` (one level) if it does not already exist.
 Status EnsureDir(const std::string& path);
 

@@ -7,16 +7,13 @@ namespace ledger {
 
 namespace {
 // The process-wide root-compute counter lives on the default metric
-// registry; merkle_root_computes() is a thin read of the same cell.
+// registry.
 obs::Counter* RootComputesCell() {
   static obs::Counter* cell = obs::Registry::Default()->GetCounter(
-      "merkle_root_computes_total",
-      "Process-wide Block::ComputeMerkleRoot calls");
+      "merkle_root_computes_total", "Process-wide block Merkle root builds");
   return cell;
 }
 }  // namespace
-
-uint64_t Block::merkle_root_computes() { return RootComputesCell()->value(); }
 
 void BlockHeader::EncodeTo(Encoder* enc) const {
   enc->PutU64(height);
@@ -57,6 +54,12 @@ std::vector<Bytes> Block::TxLeaves(const std::vector<Transaction>& txs) {
 crypto::Digest Block::ComputeMerkleRoot(const std::vector<Transaction>& txs) {
   RootComputesCell()->Increment();
   return crypto::MerkleTree::Build(TxLeaves(txs)).root();
+}
+
+crypto::Digest Block::MerkleRootFromLeaves(
+    const std::vector<crypto::Digest>& leaves) {
+  RootComputesCell()->Increment();
+  return crypto::MerkleTree::BuildFromDigests(leaves).root();
 }
 
 Block Block::Make(uint64_t height, const crypto::Digest& prev_hash,

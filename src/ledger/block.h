@@ -51,11 +51,12 @@ struct Block {
   static crypto::Digest ComputeMerkleRoot(
       const std::vector<Transaction>& txs);
 
-  /// Process-wide count of ComputeMerkleRoot calls — the hash-work counter
-  /// behind the "one root per locally built block" invariant (a block built
-  /// by Block::Make must not be re-rooted when the same process validates
-  /// it; bench_recovery reports roots/block on the ingest path).
-  static uint64_t merkle_root_computes();
+  /// The same root from precomputed leaf digests (MerkleTree::LeafHash of
+  /// each canonical transaction encoding, in order). Both builders count
+  /// in merkle_root_computes_total on the default registry — the hash-work
+  /// counter behind the "one root per appended block" invariant.
+  static crypto::Digest MerkleRootFromLeaves(
+      const std::vector<crypto::Digest>& leaves);
 
   /// Merkle leaf payloads for `txs` — the single definition of the leaf
   /// domain, shared by root computation and every proof tree so the two

@@ -83,19 +83,21 @@ Result<crypto::Digest> Blockchain::Append(std::vector<Transaction> txs,
                                           Timestamp timestamp,
                                           const std::string& proposer,
                                           uint64_t nonce) {
-  obs::ScopedTimer timer(append_seconds_);
-  const crypto::Digest parent_hash = head_hash();
-  const Block& parent = *blocks_.at(Key(parent_hash));
-  Block block = Block::Make(parent.header.height + 1, parent_hash,
-                            std::move(txs), timestamp, proposer);
-  block.header.nonce = nonce;
-  crypto::Digest hash = block.header.Hash();
-  // Self-produce fast path: Make just derived the root from these exact
-  // transactions, so acceptance skips the redundant re-computation.
-  PROVLEDGER_RETURN_NOT_OK(AcceptBlock(std::move(block), hash,
-                                       /*check_merkle_root=*/false,
-                                       /*cached_ids=*/nullptr));
-  return hash;
+  std::vector<PreparedTx> prepared;
+  prepared.reserve(txs.size());
+  Encoder enc;
+  for (auto& tx : txs) {
+    prepared.push_back(PreparedTx::From(std::move(tx), &enc));
+  }
+  return AppendPrepared(&prepared, timestamp, proposer, nonce);
+}
+
+PreparedTx PreparedTx::From(Transaction tx, Encoder* scratch) {
+  scratch->Clear();
+  tx.EncodeTo(scratch);
+  const crypto::Digest id = crypto::Sha256::Hash(scratch->buffer());
+  const crypto::Digest leaf = crypto::MerkleTree::LeafHash(scratch->buffer());
+  return PreparedTx{std::move(tx), id, leaf};
 }
 
 Result<crypto::Digest> Blockchain::AppendPrepared(
@@ -117,7 +119,7 @@ Result<crypto::Digest> Blockchain::AppendPrepared(
     std::vector<crypto::Digest> leaves;
     leaves.reserve(txs->size());
     for (const auto& ptx : *txs) leaves.push_back(ptx.leaf);
-    root = crypto::MerkleTree::BuildFromDigests(leaves).root();
+    root = Block::MerkleRootFromLeaves(leaves);
   }
   Block block;
   block.header.height = parent.header.height + 1;
@@ -156,16 +158,6 @@ Status Blockchain::SubmitBlock(const Block& block) {
   PROVLEDGER_RETURN_NOT_OK(
       ValidateAndPersist(block, block_key, /*check_merkle_root=*/true));
   InstallBlock(Block(block), hash, block_key, /*cached_ids=*/nullptr);
-  return Status::OK();
-}
-
-Status Blockchain::AcceptBlock(Block&& block, const crypto::Digest& hash,
-                               bool check_merkle_root,
-                               const std::vector<crypto::Digest>* cached_ids) {
-  const std::string block_key = Key(hash);
-  PROVLEDGER_RETURN_NOT_OK(
-      ValidateAndPersist(block, block_key, check_merkle_root));
-  InstallBlock(std::move(block), hash, block_key, cached_ids);
   return Status::OK();
 }
 
@@ -339,7 +331,6 @@ const crypto::MerkleTree& Blockchain::TreeFor(const std::string& block_key,
       merkle_cache_order_.pop_front();
     }
   }
-  ++merkle_builds_;
   merkle_builds_total_->Increment();
   merkle_cache_order_.push_back(block_key);
   return merkle_cache_

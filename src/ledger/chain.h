@@ -82,15 +82,21 @@ struct ChainView {
   }
 };
 
-/// \brief A transaction whose expensive digests were precomputed off the
-/// commit path (by ingest-pipeline shard workers): `id` is Transaction::
-/// Id() and `leaf` is MerkleTree::LeafHash over the same canonical
-/// encoding. AppendPrepared trusts them, so they must come from those
-/// exact functions — a mismatched digest corrupts the chain's indexes.
+/// \brief A transaction whose expensive digests were precomputed before
+/// the commit (ingest-pipeline shard workers do it off the commit path):
+/// `id` is Transaction::Id() and `leaf` is MerkleTree::LeafHash over the
+/// same canonical encoding. AppendPrepared trusts them, so they must come
+/// from those exact functions — a mismatched digest corrupts the chain's
+/// indexes.
 struct PreparedTx {
   Transaction tx;
   crypto::Digest id;
   crypto::Digest leaf;
+
+  /// Encode `tx` once into `scratch` and take both digests from that one
+  /// encoding (Append and ProvenanceStore::PrepareRecord both fill theirs
+  /// here). A reused scratch encoder keeps this allocation-free.
+  static PreparedTx From(Transaction tx, Encoder* scratch);
 };
 
 /// \brief Block tree + longest-chain view.
@@ -116,15 +122,16 @@ class Blockchain {
   const Block& genesis() const;
 
   /// \brief Build, validate, and append a block of `txs` on the current
-  /// head. Returns the new block's hash.
+  /// head. Returns the new block's hash. A thin wrapper over
+  /// AppendPrepared: each transaction is encoded once for its id and leaf.
   Result<crypto::Digest> Append(std::vector<Transaction> txs,
                                 Timestamp timestamp,
                                 const std::string& proposer,
                                 uint64_t nonce = 0);
 
   /// \brief Append a block of transactions whose encodings were already
-  /// hashed by the caller (see PreparedTx). The local-produce fast path
-  /// behind the ingest pipeline's committer: the Merkle root is assembled
+  /// hashed by the caller (see PreparedTx). The one path that builds a
+  /// block from local transactions: the Merkle root is assembled
   /// from the cached leaf digests (no re-encode, no re-hash) and the
   /// transaction index reuses the cached ids, so each transaction's bytes
   /// are hashed exactly once over its whole anchoring lifetime.
@@ -132,12 +139,13 @@ class Blockchain {
   /// build: pass the root of exactly these leaves in this order (the
   /// pipeline's shard workers compute it off-thread); a wrong root
   /// corrupts the chain the same way a wrong leaf digest would.
-  /// Validation parity with Append otherwise (height/link/timestamp/
-  /// signature checks, block sink ordering). Returns the new block hash.
+  /// Validation parity with SubmitBlock otherwise (height/link/timestamp/
+  /// signature checks, block sink ordering) — only the root is trusted.
+  /// Returns the new block hash.
   /// `*txs` is consumed on success and left INTACT on failure — a
   /// rejected block (validation, block-sink/durability error) hands the
-  /// prepared transactions back so the caller can retry, mirroring the
-  /// buffered path's no-record-loss contract.
+  /// prepared transactions back so the caller can retry (the store's
+  /// no-record-loss contract rests on this).
   Result<crypto::Digest> AppendPrepared(
       std::vector<PreparedTx>* txs, Timestamp timestamp,
       const std::string& proposer, uint64_t nonce = 0,
@@ -216,13 +224,6 @@ class Blockchain {
   /// Total encoded bytes of main-chain blocks (storage-overhead metric).
   size_t ApproximateBytes() const;
 
-  /// Number of Merkle trees built to serve proofs since construction.
-  /// Proof requests against a block whose tree is already cached do not
-  /// increment this (perf counter; exercised by the prov store tests).
-  /// Per-instance delta; the registry's chain_merkle_tree_builds_total
-  /// counter aggregates the same events process-wide.
-  size_t merkle_tree_builds() const { return merkle_builds_; }
-
   /// Test hook: mutate a stored transaction payload in place, bypassing
   /// validation (for tamper-detection experiments). Writes through the
   /// shared immutability of installed blocks (const_cast), so it must only
@@ -231,33 +232,26 @@ class Blockchain {
   Status TamperForTesting(uint64_t height, size_t tx_index, uint8_t xor_mask);
 
  private:
-  /// `check_merkle_root` is false only for blocks this process just built
-  /// via Block::Make (Append's self-produce path): their root was computed
-  /// from these exact transactions one call earlier, so re-deriving it
-  /// would double the per-block hash work for no information.
+  /// `check_merkle_root` is false only for blocks AppendPrepared just
+  /// built: their root came from these exact transactions' leaf digests
+  /// one call earlier, so re-deriving it would double the per-block hash
+  /// work for no information.
   Status ValidateBlock(const Block& block, const Block& parent,
                        bool check_merkle_root) const;
-  /// Shared acceptance path behind Append, AppendPrepared, and
-  /// SubmitBlock: ValidateAndPersist then InstallBlock. `hash` is
-  /// block.header.Hash(), computed once by the caller and reused by both
-  /// stages (the header is never re-hashed during acceptance).
-  /// `cached_ids` optionally carries the per-transaction ids (same order
-  /// as block.transactions) so the fast path skips re-hashing them for
-  /// the transaction index.
-  Status AcceptBlock(Block&& block, const crypto::Digest& hash,
-                     bool check_merkle_root,
-                     const std::vector<crypto::Digest>* cached_ids);
   /// Every fallible acceptance step — duplicate check, parent lookup,
-  /// validation, block-sink write — without consuming the block. Callers
-  /// that need the transactions back on failure (AppendPrepared's retry
-  /// hand-back) run this first; the block is only moved into the chain by
-  /// InstallBlock after this succeeds. `block_key` is Key(header hash),
-  /// computed once per acceptance and shared with InstallBlock.
+  /// validation, block-sink write — without consuming the block. Both
+  /// acceptance paths (AppendPrepared, SubmitBlock) run this first; the
+  /// block is only moved into the chain by InstallBlock after this
+  /// succeeds, so AppendPrepared can hand its transactions back on
+  /// failure. `block_key` is Key(header hash), computed once per
+  /// acceptance and shared with InstallBlock.
   Status ValidateAndPersist(const Block& block, const std::string& block_key,
                             bool check_merkle_root);
   /// Infallible final stage: store the block (by move) and run fork
   /// choice. `hash`/`block_key` are the block's header hash and its map
   /// key. Must only be called after ValidateAndPersist succeeded.
+  /// `cached_ids` optionally carries the per-transaction ids (same order
+  /// as block.transactions) so the transaction index skips re-hashing.
   void InstallBlock(Block&& block, const crypto::Digest& hash,
                     const std::string& block_key,
                     const std::vector<crypto::Digest>* cached_ids);
@@ -291,7 +285,6 @@ class Blockchain {
   // bounded by options_.merkle_cache_blocks with FIFO eviction.
   mutable std::unordered_map<std::string, crypto::MerkleTree> merkle_cache_;
   mutable std::deque<std::string> merkle_cache_order_;
-  mutable size_t merkle_builds_ = 0;
   std::function<Status(const Block&)> block_sink_;
   // Cached registry cells (resolved once in the constructor); hot-path
   // updates are single relaxed atomic ops.

@@ -92,16 +92,22 @@ Status ChainLog::ScanExisting() {
 }
 
 Status ChainLog::Append(const Block& block) {
+  // Fail-stop: after a failed fsync or truncate the log may hold unsynced
+  // bytes or garbage, so no later block may land behind them.
+  PROVLEDGER_RETURN_NOT_OK(sticky_error_);
   obs::ScopedTimer timer(append_seconds_);
   Bytes frame = BuildFrame(options_.columnar_bodies
                                ? prov::columnar::EncodeBlock(block)
                                : block.Encode());
   Status written = WriteAllFd(fd_, frame.data(), frame.size(), path_);
   if (written.ok() && options_.sync_writes && ::fsync(fd_) != 0) {
-    written = ErrnoStatus("fsync", path_);
+    sticky_error_ = written = ErrnoStatus("fsync", path_);
   }
   if (!written.ok()) {
-    ::ftruncate(fd_, static_cast<off_t>(size_));  // drop the partial frame
+    // Drop the partial frame.
+    if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+      sticky_error_ = ErrnoStatus("ftruncate", path_);
+    }
     return written;
   }
   size_ += frame.size();
@@ -158,8 +164,8 @@ Status ChainLog::AttachTo(Blockchain* chain) {
 }
 
 Status ChainLog::Sync() {
-  if (::fsync(fd_) != 0) return ErrnoStatus("fsync", path_);
-  return Status::OK();
+  if (::fsync(fd_) != 0) sticky_error_ = ErrnoStatus("fsync", path_);
+  return sticky_error_;
 }
 
 }  // namespace ledger

@@ -59,7 +59,9 @@ class ChainLog {
   ChainLog(const ChainLog&) = delete;
   ChainLog& operator=(const ChainLog&) = delete;
 
-  /// Persist one block (framed append + optional fsync).
+  /// Persist one block (framed append + optional fsync). A failed write
+  /// truncates its partial frame away; after a failed fsync or truncate
+  /// every later Append and Sync fails with that error.
   Status Append(const Block& block);
 
   /// Decode every logged block, in log order, and submit it to `chain`
@@ -96,6 +98,8 @@ class ChainLog {
   uint64_t size_ = 0;
   size_t block_count_ = 0;
   bool recovered_torn_write_ = false;
+  // Set by a failed fsync or truncate; from then on every append returns it.
+  Status sticky_error_;
   // Cached registry cells (resolved once in the constructor).
   obs::Histogram* append_seconds_;
   obs::Counter* replay_blocks_total_;

@@ -57,25 +57,22 @@ Status ProvenanceStore::CheckNotAnchored(const std::string& record_id) const {
   return Status::OK();
 }
 
-Status ProvenanceStore::Buffer(ProvenanceRecord&& record,
+Status ProvenanceStore::Buffer(const ProvenanceRecord& record,
                                const crypto::PrivateKey* signer) {
-  PROVLEDGER_RETURN_NOT_OK(record.Validate());
-  PROVLEDGER_RETURN_NOT_OK(CheckNotAnchored(record.record_id));
+  PROVLEDGER_ASSIGN_OR_RETURN(
+      PreparedRecord prepared,
+      PrepareRecord(ProvenanceRecord(record), nonce_ + 1, signer));
+  PROVLEDGER_RETURN_NOT_OK(CheckNotAnchored(prepared.record.record_id));
   ++nonce_;
-  // Encode once; the encoding travels into the transaction payload and the
-  // record itself moves into the pending buffer — no further full copies.
-  pending_.push_back(MakeTx(record.Encode(), signer, nonce_));
-  pending_ids_.insert(record.record_id);
-  pending_records_.push_back(std::move(record));
+  pending_ids_.insert(prepared.record.record_id);
+  pending_.records.push_back(std::move(prepared));
   return Status::OK();
 }
 
 Status ProvenanceStore::Anchor(const ProvenanceRecord& record,
                                const crypto::PrivateKey* signer) {
-  ProvenanceRecord anchored = record;
-  anchored.agent = OnChainAgentId(record.agent);
-  PROVLEDGER_RETURN_NOT_OK(Buffer(std::move(anchored), signer));
-  if (pending_.size() >= options_.batch_size) {
+  PROVLEDGER_RETURN_NOT_OK(Buffer(record, signer));
+  if (pending_.records.size() >= options_.batch_size) {
     return Flush();
   }
   return Status::OK();
@@ -86,21 +83,22 @@ Status ProvenanceStore::AnchorBatch(
     const crypto::PrivateKey* signer) {
   // All-or-nothing: a failed AnchorBatch must not leave this batch's
   // records buffered, or they would block retries and then ride along on
-  // an unrelated later Flush despite the reported error.
-  const size_t mark = pending_.size();
+  // an unrelated later Flush despite the reported error. They are the
+  // buffered records whose nonces were issued past `nonce_mark`.
   const uint64_t nonce_mark = nonce_;
   auto unbuffer_batch = [&]() {
-    for (size_t i = mark; i < pending_records_.size(); ++i) {
-      pending_ids_.erase(pending_records_[i].record_id);
+    auto& buffered = pending_.records;
+    auto first = std::find_if(
+        buffered.begin(), buffered.end(),
+        [&](const PreparedRecord& p) { return p.tx.nonce > nonce_mark; });
+    for (auto it = first; it != buffered.end(); ++it) {
+      pending_ids_.erase(it->record.record_id);
     }
-    pending_.resize(mark);
-    pending_records_.resize(mark);
+    buffered.erase(first, buffered.end());
     nonce_ = nonce_mark;
   };
   for (const auto& record : records) {
-    ProvenanceRecord anchored = record;
-    anchored.agent = OnChainAgentId(record.agent);
-    Status s = Buffer(std::move(anchored), signer);
+    Status s = Buffer(record, signer);
     if (!s.ok()) {
       unbuffer_batch();
       return s;
@@ -111,43 +109,20 @@ Status ProvenanceStore::AnchorBatch(
   // block: hand the records back to the caller instead of letting them
   // linger (a drained buffer means the block landed and only indexing
   // failed — those records are on-chain and must stay).
-  if (!flushed.ok() && pending_.size() > mark) unbuffer_batch();
+  if (!flushed.ok() && !pending_.records.empty()) unbuffer_batch();
   return flushed;
 }
 
 Status ProvenanceStore::Flush() {
-  if (pending_.empty()) return Status::OK();
-  // Append before touching the buffers: on failure (block too large,
-  // signature policy, ...) everything stays pending so the caller can fix
-  // the chain options and retry without losing records.
-  auto block_hash =
-      chain_->Append(pending_, clock_->NowMicros(), options_.proposer);
-  if (!block_hash.ok()) return block_hash.status();
-
-  std::vector<ledger::Transaction> txs = std::move(pending_);
-  std::vector<ProvenanceRecord> records = std::move(pending_records_);
-  pending_.clear();
-  pending_records_.clear();
+  // The buffer was deduped on entry; AnchorPrepared re-checks it against
+  // the graph, so its own ids must not count as already buffered.
   pending_ids_.clear();
-  // The block is on the chain now, so every record of the batch must be
-  // indexed — bailing at the first failure would leave on-chain records
-  // invisible to queries and audits. Index them all, aggregate the errors.
-  Status first_error;
-  size_t failures = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    Status s = IndexRecord(std::move(records[i]), txs[i].Id());
-    if (!s.ok()) {
-      ++failures;
-      if (first_error.ok()) first_error = std::move(s);
-    }
+  Status anchored = AnchorPrepared(&pending_);
+  // A chain refusal hands the batch back: its records stay buffered.
+  for (const auto& p : pending_.records) {
+    pending_ids_.insert(p.record.record_id);
   }
-  if (failures > 0) {
-    return Status::Internal(
-        "flush indexed " + std::to_string(records.size() - failures) + "/" +
-        std::to_string(records.size()) + " anchored records; first error: " +
-        first_error.ToString());
-  }
-  return Status::OK();
+  return anchored;
 }
 
 Status ProvenanceStore::IndexRecord(ProvenanceRecord&& record,
@@ -167,20 +142,15 @@ Result<PreparedRecord> ProvenanceStore::PrepareRecord(
     const crypto::PrivateKey* signer, Encoder* scratch) const {
   record.agent = OnChainAgentId(record.agent);
   PROVLEDGER_RETURN_NOT_OK(record.Validate());
-  PreparedRecord prepared;
-  prepared.tx = MakeTx(record.Encode(), signer, nonce);
   // One encoding serves both digests the commit path will need — after
   // this, no byte of the transaction is ever hashed again. The encoding is
   // a throwaway, so a caller-provided scratch encoder (ingest shard
   // workers keep one per thread) makes it allocation-free in steady state.
   Encoder local;
-  Encoder& enc = scratch != nullptr ? *scratch : local;
-  enc.Clear();
-  prepared.tx.EncodeTo(&enc);
-  prepared.txid = crypto::Sha256::Hash(enc.buffer());
-  prepared.leaf = crypto::MerkleTree::LeafHash(enc.buffer());
-  prepared.record = std::move(record);
-  return prepared;
+  ledger::PreparedTx tx = ledger::PreparedTx::From(
+      MakeTx(record.Encode(), signer, nonce),
+      scratch != nullptr ? scratch : &local);
+  return PreparedRecord{std::move(record), std::move(tx.tx), tx.id, tx.leaf};
 }
 
 Status ProvenanceStore::AnchorPrepared(PreparedBatch* batch,
@@ -205,10 +175,11 @@ Status ProvenanceStore::AnchorPrepared(PreparedBatch* batch,
   // Duplicates (already anchored, pending, or repeated within the batch)
   // must drop *before* the block forms: an on-chain duplicate would be
   // refused by the graph and become invisible to queries forever.
+  const size_t total = batch->records.size();
   std::vector<PreparedRecord> unique;
-  unique.reserve(batch->records.size());
+  unique.reserve(total);
   std::unordered_set<std::string> batch_ids;
-  Status first_drop;
+  Status first_error;
   size_t dropped = 0;
   for (auto& prepared : batch->records) {
     Status s = CheckNotAnchored(prepared.record.record_id);
@@ -218,13 +189,14 @@ Status ProvenanceStore::AnchorPrepared(PreparedBatch* batch,
     }
     if (!s.ok()) {
       ++dropped;
-      if (first_drop.ok()) first_drop = std::move(s);
+      if (first_error.ok()) first_error = std::move(s);
       continue;
     }
     unique.push_back(std::move(prepared));
   }
   batch->records.clear();
 
+  size_t failures = 0;
   if (!unique.empty()) {
     std::vector<ledger::PreparedTx> txs;
     txs.reserve(unique.size());
@@ -259,12 +231,11 @@ Status ProvenanceStore::AnchorPrepared(PreparedBatch* batch,
     // Track issued nonces so later Anchor()/Flush() calls never reuse one.
     nonce_ = max_nonce;
 
-    // The block is on the chain: index everything, aggregate failures
-    // (same contract as Flush). `committed` counts only fully-landed
-    // records (on-chain AND indexed) — an indexing casualty is a failure
-    // to the caller even though its bytes are on the chain.
-    Status first_error;
-    size_t failures = 0;
+    // The block is on the chain: index everything, aggregate failures —
+    // bailing at the first one would leave on-chain records invisible to
+    // queries and audits. `committed` counts only fully-landed records
+    // (on-chain AND indexed) — an indexing casualty is a failure to the
+    // caller even though its bytes are on the chain.
     for (auto& prepared : unique) {
       Status s = IndexRecord(std::move(prepared.record), prepared.txid);
       if (!s.ok()) {
@@ -272,22 +243,18 @@ Status ProvenanceStore::AnchorPrepared(PreparedBatch* batch,
         if (first_error.ok()) first_error = std::move(s);
       }
     }
-    if (committed != nullptr) *committed = unique.size() - failures;
-    if (failures > 0) {
-      return Status::Internal(
-          "prepared anchor indexed " +
-          std::to_string(unique.size() - failures) + "/" +
-          std::to_string(unique.size()) +
-          " on-chain records; first error: " + first_error.ToString());
-    }
   }
-  if (dropped > 0) {
-    return Status::AlreadyExists(
-        "dropped " + std::to_string(dropped) +
-        " duplicate records from prepared batch; first: " +
-        first_drop.ToString());
-  }
-  return Status::OK();
+  const size_t landed = unique.size() - failures;
+  if (committed != nullptr) *committed = landed;
+  if (landed == total) return Status::OK();
+  const std::string report = "anchored " + std::to_string(landed) + "/" +
+                             std::to_string(total) +
+                             " records; first error: " +
+                             first_error.ToString();
+  // An indexing failure outranks drops: that record is on-chain but
+  // invisible to queries.
+  return failures > 0 ? Status::Internal(report)
+                      : Status::AlreadyExists(report);
 }
 
 Status ProvenanceStore::PublishSnapshot() {
@@ -421,13 +388,12 @@ void ProvenanceStore::ResetState() {
   index_ = storage::MemKvStore();
   lazy_index_.clear();
   anchored_count_ = 0;
-  pending_.clear();
-  pending_records_.clear();
+  pending_ = PreparedBatch();
   pending_ids_.clear();
   nonce_ = 0;
 }
 
-Status ProvenanceStore::ReplayBlock(uint64_t h) {
+Status ProvenanceStore::ApplyChainBlock(uint64_t h) {
   const ledger::Block* block = chain_->PeekBlock(h);
   if (block == nullptr) {
     return Status::NotFound("no block at height " + std::to_string(h));
@@ -446,15 +412,11 @@ Status ProvenanceStore::ReplayBlock(uint64_t h) {
   return Status::OK();
 }
 
-Status ProvenanceStore::ApplyChainBlock(uint64_t height) {
-  return ReplayBlock(height);
-}
-
 Status ProvenanceStore::RebuildFromChain() {
   ResetState();
   Status replayed = [&]() -> Status {
     for (uint64_t h = 0; h <= chain_->height(); ++h) {
-      PROVLEDGER_RETURN_NOT_OK(ReplayBlock(h));
+      PROVLEDGER_RETURN_NOT_OK(ApplyChainBlock(h));
     }
     return Status::OK();
   }();
@@ -600,7 +562,7 @@ Status ProvenanceStore::LoadSnapshot(const std::string& path) {
     anchored_count_ = anchored;
     // Tail replay: everything anchored after the snapshot was taken.
     for (uint64_t h = snapshot_height + 1; h <= chain_->height(); ++h) {
-      PROVLEDGER_RETURN_NOT_OK(ReplayBlock(h));
+      PROVLEDGER_RETURN_NOT_OK(ApplyChainBlock(h));
     }
     return Status::OK();
   }();

@@ -3,7 +3,8 @@
 // that can thoroughly capture, extract, and query provenance" whose absence
 // §3.1 of the paper identifies.
 //
-//   * Anchor()        — serialize a record into a ledger transaction
+//   * Anchor()        — buffer PrepareRecord() output; Flush() commits it
+//                       through AnchorPrepared(), the one write path
 //   * GetRecord()     — point lookup via the record index
 //   * Execute()       — composable index-planned queries (prov/query.h)
 //   * SubjectHistory()/ByAgent()/Lineage() — fixed-shape wrappers
@@ -102,17 +103,20 @@ class ProvenanceStore {
   /// Anchor a batch in one block regardless of batch_size.
   Status AnchorBatch(const std::vector<ProvenanceRecord>& records,
                      const crypto::PrivateKey* signer = nullptr);
-  /// Flush any buffered records into a block. If the chain rejects the
-  /// block, everything stays buffered for retry. Once the block is
-  /// appended, *every* record of the batch is indexed even if some fail —
-  /// an on-chain record must never be invisible to queries — and the
-  /// per-record failures come back aggregated as one Internal status.
+  /// Flush any buffered records into a block through AnchorPrepared. If
+  /// the chain rejects the block, everything stays buffered for retry. A
+  /// buffered record that reached the graph out of band since it was
+  /// buffered is dropped before the block forms. Once the block is
+  /// appended, *every* record on it is indexed even if some fail — an
+  /// on-chain record must never be invisible to queries — and the
+  /// failures come back aggregated as one status reporting landed/total.
   Status Flush();
 
   /// \name Prepared (pipelined) ingest.
-  /// The two-phase write path behind prov::IngestPipeline: preparation is
-  /// the per-record heavy lifting and runs concurrently on shard threads;
-  /// committing is cheap sequencing and runs on one committer thread.
+  /// The two-phase write path behind every anchor (Anchor/Flush too):
+  /// preparation is the per-record heavy lifting, which prov::IngestPipeline
+  /// runs concurrently on shard threads; committing is cheap sequencing on
+  /// one committer thread.
   /// @{
   /// Validate, (optionally) anonymize, serialize, and hash `record` into
   /// a PreparedRecord carrying its anchoring transaction. Thread-safe
@@ -133,28 +137,19 @@ class ProvenanceStore {
   /// Anchor a prepared batch as one block, reusing every cached digest
   /// (no re-encode, no re-hash; see Blockchain::AppendPrepared) and the
   /// batch's precomputed Merkle root when it is intact.
-  /// Committer/writer thread only. Records already anchored or duplicated
-  /// within the batch are dropped *before* the block forms and reported
-  /// via the returned status; the rest commit. Like Flush, once the block
-  /// is on the chain every surviving record is indexed even past
-  /// per-record indexing failures (aggregated Internal). `committed`
-  /// (optional) receives the number of records that fully landed —
-  /// on-chain AND indexed.
+  /// Committer/writer thread only. Records already anchored, buffered or
+  /// duplicated within the batch are dropped *before* the block forms and
+  /// reported via the returned status (AlreadyExists); the rest commit.
+  /// Once the block is on the chain every surviving record is indexed even
+  /// past per-record indexing failures (aggregated Internal); either
+  /// status reports "anchored <landed>/<total>". `committed` (optional)
+  /// receives the number of records that fully landed — on-chain AND
+  /// indexed.
   /// `*batch` is consumed on commit; if the *chain refuses the block*
   /// (validation, durability-sink error) it is handed back intact (minus
   /// dropped duplicates) so the caller can retry — the same
   /// no-record-loss contract as AnchorBatch's un-buffering.
-  /// Does not touch the Anchor()/Flush() pending buffer — don't interleave
-  /// unflushed buffered records with prepared commits.
   Status AnchorPrepared(PreparedBatch* batch, size_t* committed = nullptr);
-  /// Convenience overload without a precomputed root; the batch is
-  /// consumed even on chain refusal (no retry hand-back).
-  Status AnchorPrepared(std::vector<PreparedRecord> records,
-                        size_t* committed = nullptr) {
-    PreparedBatch batch;
-    batch.records = std::move(records);
-    return AnchorPrepared(&batch, committed);
-  }
   /// @}
 
   /// \name Snapshot-isolated reads (epoch publication).
@@ -244,7 +239,8 @@ class ProvenanceStore {
   /// block enters via Blockchain::SubmitBlock (full re-validation) rather
   /// than Anchor()/Flush(), so the store has not yet seen its records.
   /// Call once per height, in order, for blocks the store has not indexed;
-  /// a block whose records are already indexed fails as duplicates.
+  /// a block whose records are already indexed fails as duplicates. Also
+  /// the per-block step of RebuildFromChain and snapshot tail replay.
   Status ApplyChainBlock(uint64_t height);
 
   /// Drop all local state and rebuild indexes + graph from the chain.
@@ -294,7 +290,7 @@ class ProvenanceStore {
   ledger::Blockchain* chain() { return chain_; }
   const ledger::Blockchain* chain() const { return chain_; }
   size_t anchored_count() const { return anchored_count_; }
-  size_t pending_count() const { return pending_.size(); }
+  size_t pending_count() const { return pending_.records.size(); }
   /// Highest transaction nonce issued or observed so far. The pipeline
   /// seeds its own atomic nonce counter from this at construction.
   uint64_t nonce() const { return nonce_; }
@@ -305,9 +301,6 @@ class ProvenanceStore {
   Status IndexRecord(ProvenanceRecord&& record, const crypto::Digest& txid);
   /// Drop graph, index, counters, and pending buffers.
   void ResetState();
-  /// Index every prov/record transaction of the main-chain block at `h`
-  /// (the shared per-block step of RebuildFromChain and tail replay).
-  Status ReplayBlock(uint64_t h);
   /// Hydrate the rec/ index from a snapshot's deferred section. Queries
   /// never touch the index; only the proof/audit paths (and new anchors)
   /// pay this, once.
@@ -322,9 +315,10 @@ class ProvenanceStore {
   /// state — restore paths call this so readers never keep acquiring a
   /// snapshot of pre-restore state.
   Status RepublishIfPublished(uint64_t reflected_height);
-  /// Validate, dedup, encode once, and buffer `record` (already carrying
-  /// its on-chain agent id) plus its transaction.
-  Status Buffer(ProvenanceRecord&& record, const crypto::PrivateKey* signer);
+  /// PrepareRecord `record` under the next nonce (validation first), then
+  /// dedup it and buffer it.
+  Status Buffer(const ProvenanceRecord& record,
+                const crypto::PrivateKey* signer);
   /// Build the anchoring transaction for `payload` with an explicit nonce
   /// (thread-safe const — reads only options and the clock).
   ledger::Transaction MakeTx(Bytes payload, const crypto::PrivateKey* signer,
@@ -343,10 +337,10 @@ class ProvenanceStore {
   // zero-copy snapshot slice until the first proof/audit/anchor needs them.
   mutable storage::MemKvStore index_;
   mutable LazySlice lazy_index_;
-  std::vector<ledger::Transaction> pending_;
-  std::vector<ProvenanceRecord> pending_records_;
-  // Record ids in pending_records_, so a duplicate cannot buffer twice and
-  // then corrupt graph/index state when Flush() replays the batch.
+  // Anchor()/AnchorBatch() output awaiting Flush(), prepared exactly as
+  // the ingest pipeline prepares its batches.
+  PreparedBatch pending_;
+  // Record ids in pending_, so a duplicate cannot buffer twice.
   std::unordered_set<std::string> pending_ids_;
   size_t anchored_count_ = 0;
   uint64_t nonce_ = 0;

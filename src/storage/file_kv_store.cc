@@ -141,15 +141,10 @@ Status FileKvStore::OpenSegment(const std::string& name, bool create) {
   segment_names_.push_back(name);
   segments_gauge_->Set(static_cast<int64_t>(segments_->fds.size()));
   active_size_ = 0;
-  if (create) {
-    // Make the new directory entry durable before anything points at it.
-    int dirfd = ::open(dir_.c_str(), O_RDONLY);
-    if (dirfd >= 0) {
-      ::fsync(dirfd);
-      ::close(dirfd);
-    }
-  }
-  return Status::OK();
+  // Make the new directory entry durable before anything points at it; a
+  // segment whose entry may vanish at a crash must take no writes.
+  if (create && sticky_error_.ok()) sticky_error_ = SyncDir(dir_);
+  return sticky_error_;
 }
 
 Result<std::unique_ptr<FileKvStore>> FileKvStore::Open(
@@ -309,6 +304,9 @@ Status FileKvStore::RollIfNeeded() {
 
 Status FileKvStore::Write(const WriteBatch& batch) {
   if (batch.empty()) return Status::OK();
+  // Fail-stop: after a failed fsync or truncate the log may hold unsynced
+  // bytes or garbage, so no later batch may land behind them.
+  PROVLEDGER_RETURN_NOT_OK(sticky_error_);
   obs::ScopedTimer write_timer(write_seconds_);
   PROVLEDGER_RETURN_NOT_OK(RollIfNeeded());
   const uint32_t segment = static_cast<uint32_t>(segments_->fds.size() - 1);
@@ -366,12 +364,14 @@ Status FileKvStore::Write(const WriteBatch& batch) {
   Status written = WriteAllFd(fd, frame.data(), frame.size(), path);
   if (written.ok() && options_.sync_writes) {
     obs::ScopedTimer fsync_timer(fsync_seconds_);
-    if (::fsync(fd) != 0) written = Errno("fsync", path);
+    if (::fsync(fd) != 0) sticky_error_ = written = Errno("fsync", path);
   }
   if (!written.ok()) {
     // Drop any partially written frame so the next append re-frames cleanly
     // (a partial record mid-log would otherwise read as corruption).
-    ::ftruncate(fd, static_cast<off_t>(active_size_));
+    if (::ftruncate(fd, static_cast<off_t>(active_size_)) != 0) {
+      sticky_error_ = Errno("ftruncate", path);
+    }
     return written;
   }
   active_size_ += frame.size();
@@ -467,9 +467,9 @@ Status FileKvStore::Sync() {
   if (segments_->fds.empty()) return Status::OK();
   obs::ScopedTimer fsync_timer(fsync_seconds_);
   if (::fsync(segments_->fds.back()) != 0) {
-    return Errno("fsync", segment_names_.back());
+    sticky_error_ = Errno("fsync", segment_names_.back());
   }
-  return Status::OK();
+  return sticky_error_;
 }
 
 }  // namespace storage

@@ -157,6 +157,8 @@ class FileKvStore : public KvStore {
   size_t live_bytes_ = 0;
   uint64_t replayed_batches_ = 0;
   bool recovered_torn_write_ = false;
+  // Set by a failed fsync or truncate; from then on every write returns it.
+  Status sticky_error_;
   // Cached registry cells (resolved once in the constructor).
   obs::Histogram* write_seconds_;
   obs::Histogram* fsync_seconds_;

@@ -21,6 +21,14 @@ Transaction SignedTx(const std::string& payload, const std::string& who,
                                  /*timestamp=*/1000, nonce);
 }
 
+// Process-wide block root builds (Block::ComputeMerkleRoot and
+// Block::MerkleRootFromLeaves), read from the default registry.
+uint64_t RootComputes() {
+  return obs::Registry::Default()
+      ->GetCounter("merkle_root_computes_total", "")
+      ->value();
+}
+
 TEST(TransactionTest, EncodeDecodeRoundTrip) {
   Transaction tx = SignedTx("hello", "alice");
   auto decoded = Transaction::Decode(tx.Encode());
@@ -148,27 +156,52 @@ TEST(BlockchainTest, MaxBlockTxsEnforced) {
 }
 
 TEST(BlockchainTest, AppendComputesMerkleRootOncePerBlock) {
-  // Self-produce path: Block::Make derives the root from the transactions,
+  // Local append: AppendPrepared builds the root from the leaf digests,
   // and acceptance trusts it — re-deriving it bought nothing and doubled
   // the per-block hashing on every local Append.
   Blockchain chain;
-  uint64_t before = Block::merkle_root_computes();
+  uint64_t before = RootComputes();
   ASSERT_TRUE(chain.Append({SignedTx("a", "a", 1)}, 1000, "n").ok());
-  EXPECT_EQ(Block::merkle_root_computes(), before + 1);
+  EXPECT_EQ(RootComputes(), before + 1);
 
   // Externally submitted blocks still get the full recompute: Make pays
   // one, validation pays the second.
   Block external = Block::Make(2, chain.head_hash(), {SignedTx("b", "a", 2)},
                                1001, "rival");
-  before = Block::merkle_root_computes();
+  before = RootComputes();
   ASSERT_TRUE(chain.SubmitBlock(external).ok());
-  EXPECT_EQ(Block::merkle_root_computes(), before + 1);
+  EXPECT_EQ(RootComputes(), before + 1);
 
   // ...and a tampered external block is still caught by that recompute.
   Block bad = Block::Make(3, chain.head_hash(), {SignedTx("c", "a", 3)},
                           1002, "rival");
   bad.transactions[0].payload = ToBytes("swapped");
   EXPECT_TRUE(chain.SubmitBlock(bad).IsCorruption());
+}
+
+TEST(BlockchainTest, AppendAndAppendPreparedBuildTheSameBlock) {
+  std::vector<Transaction> txs = {SignedTx("a", "a", 1), SignedTx("b", "b", 2),
+                                  SignedTx("c", "a", 3)};
+  Blockchain via_append, via_prepared;
+  auto appended = via_append.Append(txs, 2000, "n", 9);
+  ASSERT_TRUE(appended.ok());
+
+  std::vector<PreparedTx> prepared;
+  for (const auto& tx : txs) {
+    prepared.push_back(
+        PreparedTx{tx, tx.Id(), crypto::MerkleTree::LeafHash(tx.Encode())});
+  }
+  auto fast = via_prepared.AppendPrepared(&prepared, 2000, "n", 9);
+  ASSERT_TRUE(fast.ok());
+  EXPECT_EQ(appended.value(), fast.value());
+
+  // Both match a block whose root Block::Make derives from the
+  // transactions themselves, independent of either append path.
+  Block reference = Block::Make(1, via_append.genesis().header.Hash(), txs,
+                                2000, "n");
+  reference.header.nonce = 9;
+  EXPECT_EQ(reference.header.Hash(), appended.value());
+  EXPECT_EQ(via_append.GetBlock(1)->Encode(), reference.Encode());
 }
 
 TEST(BlockchainTest, TimestampMonotonicity) {

@@ -25,9 +25,24 @@ ProvenanceRecord Rec(const std::string& id, const std::string& subject,
   return rec;
 }
 
+ledger::ChainOptions ChainWithRegistry(obs::Registry* registry) {
+  ledger::ChainOptions options;
+  options.registry = registry;
+  return options;
+}
+
 class StoreTest : public ::testing::Test {
  protected:
-  StoreTest() : clock_(1'000'000), store_(&chain_, &clock_) {}
+  StoreTest()
+      : chain_(ChainWithRegistry(&chain_registry_)),
+        clock_(1'000'000),
+        store_(&chain_, &clock_) {}
+  // Proof-tree builds on chain_ (chain_merkle_tree_builds_total).
+  uint64_t TreeBuilds() {
+    return chain_registry_.GetCounter("chain_merkle_tree_builds_total", "")
+        ->value();
+  }
+  obs::Registry chain_registry_;
   ledger::Blockchain chain_;
   SimClock clock_;
   ProvenanceStore store_;
@@ -70,6 +85,46 @@ TEST_F(StoreTest, BatchingAnchorsOneBlock) {
   auto block = chain_.GetBlock(1);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ(block->transactions.size(), 4u);
+}
+
+TEST(StoreWritePathTest, AllEntryPointsBuildByteIdenticalBlocks) {
+  // Anchor (buffered), AnchorBatch and PrepareRecord + AnchorPrepared all
+  // commit through one write path, so the same records give the same
+  // block bytes whichever entry point anchored them.
+  const std::vector<ProvenanceRecord> records = {
+      Rec("w1", "f", "alice", 100), Rec("w2", "g", "bob", 200, {"f"}),
+      Rec("w3", "f", "alice", 300)};
+  SimClock clock(5'000'000);
+  ProvenanceStoreOptions buffered_opts;
+  buffered_opts.batch_size = records.size();
+
+  ledger::Blockchain buffered_chain;
+  ProvenanceStore buffered(&buffered_chain, &clock, buffered_opts);
+  for (const auto& rec : records) ASSERT_TRUE(buffered.Anchor(rec).ok());
+
+  ledger::Blockchain batch_chain;
+  ProvenanceStore batch(&batch_chain, &clock);
+  ASSERT_TRUE(batch.AnchorBatch(records).ok());
+
+  ledger::Blockchain prepared_chain;
+  ProvenanceStore prepared(&prepared_chain, &clock);
+  PreparedBatch prepared_batch;
+  for (const auto& rec : records) {
+    auto p = prepared.PrepareRecord(ProvenanceRecord(rec),
+                                    prepared_batch.records.size() + 1);
+    ASSERT_TRUE(p.ok());
+    prepared_batch.records.push_back(std::move(p).value());
+  }
+  ASSERT_TRUE(prepared.AnchorPrepared(&prepared_batch).ok());
+
+  for (const auto* chain : {&buffered_chain, &batch_chain, &prepared_chain}) {
+    ASSERT_EQ(chain->height(), 1u);
+  }
+  const Bytes block = buffered_chain.GetBlock(1)->Encode();
+  EXPECT_EQ(batch_chain.GetBlock(1)->Encode(), block);
+  EXPECT_EQ(prepared_chain.GetBlock(1)->Encode(), block);
+  EXPECT_EQ(batch_chain.head_hash(), buffered_chain.head_hash());
+  EXPECT_EQ(prepared_chain.head_hash(), buffered_chain.head_hash());
 }
 
 TEST_F(StoreTest, SignedAnchoring) {
@@ -230,47 +285,49 @@ TEST_F(StoreTest, CachedBlockProvesWithoutMerkleRebuild) {
                                   Rec("r2", "f", "a", 200),
                                   Rec("r3", "f", "a", 300)})
                   .ok());
-  size_t builds_before = chain_.merkle_tree_builds();
+  size_t builds_before = TreeBuilds();
   ASSERT_TRUE(store_.ProveRecord("r1").ok());
   // First proof against the block builds its tree exactly once...
-  EXPECT_EQ(chain_.merkle_tree_builds(), builds_before + 1);
+  EXPECT_EQ(TreeBuilds(), builds_before + 1);
   // ...and every further proof against the cached block builds zero trees.
   ASSERT_TRUE(store_.ProveRecord("r2").ok());
   ASSERT_TRUE(store_.ProveRecord("r3").ok());
   ASSERT_TRUE(store_.ProveRecord("r1").ok());
-  EXPECT_EQ(chain_.merkle_tree_builds(), builds_before + 1);
+  EXPECT_EQ(TreeBuilds(), builds_before + 1);
 
   // AuditAll re-proves every record but only ever builds one tree per
   // block, not one per record.
-  size_t audit_baseline = chain_.merkle_tree_builds();
+  size_t audit_baseline = TreeBuilds();
   auto audit = store_.AuditAll();
   ASSERT_TRUE(audit.ok());
   EXPECT_EQ(audit.value(), 3u);
-  EXPECT_EQ(chain_.merkle_tree_builds(), audit_baseline);
+  EXPECT_EQ(TreeBuilds(), audit_baseline);
 }
 
 TEST_F(StoreTest, FlushIndexesWholeBatchPastMidBatchIndexFailure) {
-  // Regression: a mid-batch IndexRecord failure used to abort the loop,
-  // leaving that record AND the rest of the batch on-chain but invisible
-  // to queries. Force one by injecting a buffered record's id into the
-  // shared graph out of band (the SciBlock workflows mutate it directly).
+  // Regression: a mid-batch failure used to abort the flush, leaving that
+  // record AND the rest of the batch on-chain but invisible to queries.
+  // Inject a buffered record's id into the shared graph out of band (the
+  // SciBlock workflows mutate it directly): Flush must drop that record
+  // before the block forms, anchor and index the rest, and report 2/3.
   ProvenanceStoreOptions opts;
   opts.batch_size = 10;
   ProvenanceStore batched(&chain_, &clock_, opts);
   ASSERT_TRUE(batched.Anchor(Rec("r1", "f", "a", 100)).ok());
   ASSERT_TRUE(batched.Anchor(Rec("r2", "f", "a", 200)).ok());
   ASSERT_TRUE(batched.Anchor(Rec("r3", "f", "a", 300)).ok());
-  // r2 lands in the graph behind the store's back: its IndexRecord in the
-  // upcoming flush must fail with AlreadyExists.
+  // r2 lands in the graph behind the store's back: the upcoming flush
+  // must drop it with AlreadyExists.
   ASSERT_TRUE(batched.mutable_graph()->AddRecord(Rec("r2", "f", "a", 200)).ok());
 
   Status s = batched.Flush();
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("2/3"), std::string::npos) << s.ToString();
 
-  // The block made it on-chain, and every *other* record of the batch is
-  // still indexed and auditable — r3 was not abandoned behind r2's failure.
+  // The block made it on-chain without r2, and every *other* record of
+  // the batch is indexed and auditable — r3 was not abandoned behind r2.
   EXPECT_EQ(chain_.height(), 1u);
+  EXPECT_EQ(chain_.GetBlock(1)->transactions.size(), 2u);
   EXPECT_TRUE(batched.HasRecord("r1"));
   EXPECT_TRUE(batched.HasRecord("r3"));
   EXPECT_EQ(batched.SubjectHistory("f").size(), 3u);

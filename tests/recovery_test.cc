@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -40,6 +43,37 @@ void TruncateTail(const std::string& path, size_t n) {
   ASSERT_GT(size, n);
   ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(size - n)), 0);
 }
+
+/// Size of the file at `path` (0 if it cannot be stat'ed).
+uint64_t FileSize(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
+                                        : 0;
+}
+
+/// Caps this process's file size (RLIMIT_FSIZE) with SIGXFSZ ignored, so a
+/// write crossing the cap comes back short and the retry fails with EFBIG.
+/// Restores the limit and the signal disposition on destruction.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(uint64_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit capped = saved_;
+    capped.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  }
+  ~FileSizeCap() {
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_), 0);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  struct rlimit saved_ {};
+  void (*saved_handler_)(int) = SIG_DFL;
+};
 
 class RecoveryTest : public ::testing::Test {
  protected:
@@ -262,6 +296,91 @@ TEST_F(RecoveryTest, ChainLogTornTailTruncated) {
   ASSERT_TRUE((*log)->AttachTo(&chain).ok());
   EXPECT_EQ(chain.height(), 1u);
   EXPECT_TRUE(chain.VerifyIntegrity().ok());
+}
+
+TEST_F(RecoveryTest, ChainLogDropsShortWriteAndReplaysClean) {
+  const std::string path = dir_ + "/chain.log";
+  crypto::Digest head;
+  {
+    ledger::Blockchain chain;
+    auto log = ledger::ChainLog::Open(path);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE((*log)->AttachTo(&chain).ok());
+    ASSERT_TRUE(chain.Append({SysTx("b1", 1)}, 1001, "n").ok());
+    const uint64_t size = (*log)->size_bytes();
+    ASSERT_EQ(FileSize(path), size);
+    {
+      // Room for 8 bytes of the next frame: a short write, then EFBIG.
+      FileSizeCap cap(size + 8);
+      EXPECT_FALSE(chain.Append({SysTx("b2", 2)}, 1002, "n").ok());
+    }
+    // The partial frame was truncated away and the chain refused the block.
+    EXPECT_EQ(FileSize(path), size);
+    EXPECT_EQ((*log)->block_count(), 1u);
+    EXPECT_EQ(chain.height(), 1u);
+    // A dropped short write leaves the log usable once space returns.
+    ASSERT_TRUE(chain.Append({SysTx("b2", 2)}, 1002, "n").ok());
+    head = chain.head_hash();
+  }
+
+  ledger::Blockchain chain;
+  auto log = ledger::ChainLog::Open(path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_FALSE((*log)->recovered_torn_write());
+  EXPECT_EQ((*log)->block_count(), 2u);
+  ASSERT_TRUE((*log)->AttachTo(&chain).ok());
+  EXPECT_EQ(chain.head_hash(), head);
+  EXPECT_TRUE(chain.VerifyIntegrity().ok());
+}
+
+TEST_F(RecoveryTest, ChainLogRefusesAppendsAfterFailedSync) {
+  // fsync and ftruncate on a character device fail with EINVAL, so every
+  // append to /dev/null fails its sync and then its truncate. The first
+  // failure must stick: later appends return it without writing again
+  // (the append timer, started after the sticky check, stays at one).
+  obs::Registry registry;
+  ledger::ChainLogOptions options;
+  options.registry = &registry;
+  auto log = ledger::ChainLog::Open("/dev/null", options);
+  if (!log.ok()) GTEST_SKIP() << log.status().ToString();
+  ledger::Blockchain chain;
+  ASSERT_TRUE((*log)->AttachTo(&chain).ok());
+  Status first = (*log)->Append(chain.genesis());
+  ASSERT_FALSE(first.ok());
+  Status again = (*log)->Append(chain.genesis());
+  EXPECT_FALSE(again.ok());
+  EXPECT_NE(again.message().find("ftruncate"), std::string::npos)
+      << again.ToString();
+  EXPECT_FALSE((*log)->Sync().ok());
+  EXPECT_FALSE(chain.Append({SysTx("b1", 1)}, 1001, "n").ok());
+  EXPECT_EQ(chain.height(), 0u);
+  const std::string text = registry.TextExposition();
+  EXPECT_NE(text.find("chainlog_append_seconds_count 1"), std::string::npos)
+      << text;
+}
+
+TEST_F(RecoveryTest, FileKvStoreDropsShortWriteAndReplaysClean) {
+  const std::string segment = dir_ + "/000001.log";
+  {
+    auto store = FileKvStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("a", ToBytes("first")).ok());
+    const uint64_t size = FileSize(segment);
+    {
+      FileSizeCap cap(size + 8);
+      EXPECT_FALSE((*store)->Put("b", ToBytes("second")).ok());
+    }
+    EXPECT_EQ(FileSize(segment), size);
+    EXPECT_FALSE((*store)->Has("b"));
+    ASSERT_TRUE((*store)->Put("b", ToBytes("second")).ok());
+  }
+  auto store = FileKvStore::Open(dir_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_FALSE((*store)->recovered_torn_write());
+  EXPECT_EQ((*store)->replayed_batches(), 2u);
+  auto b = (*store)->Get("b");
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(*b, ToBytes("second"));
 }
 
 TEST_F(RecoveryTest, ChainLogMidLogCorruptionFailsLoudly) {
